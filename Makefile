@@ -28,6 +28,9 @@
 #   make bench-regression regenerate the kernel/macro/replay/overload
 #                         benches and fail on a >25% events/s drop vs the
 #                         committed BENCH_*.json baselines
+#   make perfbench-selftest  self-test of the perfbench/ harness at tiny
+#                         sizes: every workload runs and passes its checks,
+#                         and the checks catch corrupted results
 #   make experiments      regenerate EXPERIMENTS.md (quick settings)
 
 PYTHON ?= python
@@ -35,7 +38,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
 .PHONY: check check-slow check-full lint determinism determinism-hybrid \
 	trace-roundtrip bench-smoke bench-kernel bench-macro \
-	bench-trace-replay bench-overload bench-regression experiments
+	bench-trace-replay bench-overload bench-regression perfbench-selftest \
+	experiments
 
 check:
 	HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest -q
@@ -92,6 +96,9 @@ bench-regression:
 		--pair /tmp/BENCH_macro_charge.baseline.json benchmarks/BENCH_macro_charge.json \
 		--pair /tmp/BENCH_trace_replay.baseline.json benchmarks/BENCH_trace_replay.json \
 		--pair /tmp/BENCH_overload.baseline.json benchmarks/BENCH_overload.json
+
+perfbench-selftest:
+	$(PYTHON) perfbench/selftest.py
 
 experiments:
 	$(PYTHON) -m repro.experiments.runner --quick

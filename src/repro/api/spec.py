@@ -34,6 +34,7 @@ from ..placement.spec import PlacementSpec
 from ..serving.driver import RetryPolicySpec, WorkloadSpec
 from ..serving.trace import Trace
 from ..sim.machine import MachineConfig
+from ..workloads.plans import WorkloadConfig
 from ..workloads.tracegen import TraceGenSpec
 from .serde import SpecError, decode, encode, from_json, to_json
 
@@ -72,7 +73,8 @@ class PlanSpec:
     * ``"workload_mix"`` — the Section 5.1.2 mixed population
       (:func:`~repro.workloads.plans.build_workload`): ``plan_count``
       plans out of ``workload_queries`` compiled at ``scale`` from
-      ``seed``.
+      ``seed``; each query yields two plans, so ``plan_count`` may not
+      exceed ``2 * workload_queries``.
     * ``"io_heavy"`` — the disk-dominated chain mix
       (:func:`~repro.workloads.scenarios.io_heavy_chain_population`):
       ``base_tuples``.
@@ -109,6 +111,14 @@ class PlanSpec:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         if self.scale <= 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
+        if self.kind == "workload_mix":
+            available = WorkloadConfig.plans_per_query * self.workload_queries
+            if self.plan_count > available:
+                raise ValueError(
+                    f"plan_count {self.plan_count} exceeds the "
+                    f"{available} plans of {self.workload_queries} workload "
+                    f"queries ({WorkloadConfig.plans_per_query} per query)",
+                )
 
     def build(self, cluster: MachineConfig) -> tuple:
         """Compile the plan population for ``cluster`` (pure, uncached).
@@ -152,7 +162,7 @@ class PlanSpec:
             )
             plans = tuple(built)
         else:  # workload_mix
-            from ..workloads.plans import WorkloadConfig, build_workload
+            from ..workloads.plans import build_workload
 
             workload = build_workload(
                 cluster,

@@ -19,7 +19,7 @@ used here (and in [Ziane93]):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 from ..catalog.relation import Relation
@@ -42,14 +42,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BaseNode:
-    """A leaf: one base relation."""
+    """A leaf: one base relation.
+
+    ``relations`` (names under this node) and ``signature`` (see
+    :func:`tree_signature`) are computed once, at construction; they take
+    no part in equality or hashing.
+    """
 
     relation: Relation
+    relations: frozenset[str] = field(init=False, compare=False, repr=False)
+    signature: str = field(init=False, compare=False, repr=False)
 
-    @property
-    def relations(self) -> frozenset[str]:
-        """Names of relations under this node."""
-        return frozenset((self.relation.name,))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "relations", frozenset((self.relation.name,)))
+        object.__setattr__(self, "signature", self.relation.name)
 
     def __str__(self) -> str:
         return self.relation.name
@@ -61,12 +67,15 @@ class JoinNode:
 
     ``selectivity`` is the join selectivity factor of the predicate edge
     connecting the two subtrees (exactly one edge, since query graphs are
-    trees).
+    trees).  ``relations`` and ``signature`` are cached from the
+    children's, as on :class:`BaseNode`.
     """
 
     build: "JoinTree"
     probe: "JoinTree"
     selectivity: float
+    relations: frozenset[str] = field(init=False, compare=False, repr=False)
+    signature: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.selectivity <= 0:
@@ -74,11 +83,12 @@ class JoinNode:
         overlap = self.build.relations & self.probe.relations
         if overlap:
             raise ValueError(f"children overlap on {sorted(overlap)}")
-
-    @property
-    def relations(self) -> frozenset[str]:
-        """Names of relations under this node."""
-        return self.build.relations | self.probe.relations
+        object.__setattr__(
+            self, "relations", self.build.relations | self.probe.relations
+        )
+        object.__setattr__(
+            self, "signature", f"({self.build.signature}>{self.probe.signature})"
+        )
 
     def __str__(self) -> str:
         return f"({self.build} ⋈ {self.probe})"
@@ -154,7 +164,9 @@ def validate_tree(tree: JoinTree, graph: QueryGraph) -> None:
 
 
 def tree_signature(tree: JoinTree) -> str:
-    """A canonical string for deduplicating structurally equal trees."""
-    if isinstance(tree, BaseNode):
-        return tree.relation.name
-    return f"({tree_signature(tree.build)}>{tree_signature(tree.probe)})"
+    """A canonical string for deduplicating structurally equal trees.
+
+    A leaf is its relation's name, a join ``(build>probe)``; the value is
+    cached on the node (``tree.signature``).
+    """
+    return tree.signature

@@ -8,8 +8,16 @@ connected sub-graphs, retaining the top ``k`` trees per subset, which for
 
 Because query graphs are trees (acyclic connected), the partition step is
 cheap: a connected subset induces a subtree, and every way of splitting it
-into two connected halves corresponds to cutting exactly one induced edge.
-For 12 relations the whole search visits at most a few thousand subsets.
+into two connected halves cuts exactly one induced edge ``e``, whose
+side holding ``e.left`` is the subset's overlap with that side of the
+whole graph (precomputed once per search).
+
+The DP is incremental: each retained plan carries its ``(cost,
+signature, cardinality)``, so costing a candidate join of two retained
+halves is O(1) -- one cardinality product, one cost sum, one signature
+concatenation -- and candidates are ranked as plain tuples.  Only the
+top ``k`` of each subset become :class:`JoinNode` objects.  For 12
+relations the whole search visits at most a few thousand subsets.
 
 Build-side choice: both orientations of every join are explored; the cost
 model then prefers hashing the smaller side, unless the global shape makes
@@ -20,11 +28,12 @@ bushy).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
-from ..query.graph import QueryGraph
+from ..query.graph import JoinEdge, QueryGraph
 from .cost import CardinalityEstimator, CostModel
-from .join_tree import BaseNode, JoinNode, JoinTree, tree_signature
+from .join_tree import BaseNode, JoinNode, JoinTree
 
 __all__ = ["PlanCandidate", "BushySearch", "best_bushy_trees"]
 
@@ -38,8 +47,8 @@ class PlanCandidate:
 
     @property
     def signature(self) -> str:
-        """Canonical tree string, used for deduplication."""
-        return tree_signature(self.tree)
+        """Canonical tree string, the tie-break between equal costs."""
+        return self.tree.signature
 
 
 class BushySearch:
@@ -58,13 +67,16 @@ class BushySearch:
 
     def connected_subsets(self) -> list[frozenset[str]]:
         """All connected subsets, ordered by size then lexicographically."""
+        neighbors = {
+            name: tuple(self.graph.neighbors(name)) for name in self.graph.names
+        }
         frontier = {frozenset((name,)) for name in self.graph.names}
         all_subsets = set(frontier)
         while frontier:
             grown = set()
             for subset in frontier:
                 for name in subset:
-                    for neighbor in self.graph.neighbors(name):
+                    for neighbor in neighbors[name]:
                         if neighbor not in subset:
                             bigger = subset | {neighbor}
                             if bigger not in all_subsets:
@@ -73,92 +85,71 @@ class BushySearch:
             frontier = grown
         return sorted(all_subsets, key=lambda s: (len(s), tuple(sorted(s))))
 
-    def _splits(self, subset: frozenset[str]) -> list[tuple[frozenset[str], frozenset[str]]]:
-        """All (left, right) connected bipartitions of ``subset``.
-
-        Each split cuts one edge of the induced subtree.  Left/right order
-        is canonicalized (lexicographic) because orientation is explored
-        separately when combining.
-        """
-        induced_edges = [
-            edge for edge in self.graph.edges
-            if edge.left in subset and edge.right in subset
-        ]
-        splits = []
-        for cut in induced_edges:
-            remaining = [e for e in induced_edges if e is not cut]
-            adjacency: dict[str, list[str]] = {name: [] for name in subset}
-            for e in remaining:
-                adjacency[e.left].append(e.right)
-                adjacency[e.right].append(e.left)
-            component = {cut.left}
-            stack = [cut.left]
+    def _sides(self) -> list[tuple[JoinEdge, frozenset[str]]]:
+        """Each edge with the relations on its ``left`` side of the graph."""
+        sides = []
+        for edge in self.graph.edges:
+            side = {edge.left}
+            stack = [edge.left]
             while stack:
-                current = stack.pop()
-                for neighbor in adjacency[current]:
-                    if neighbor not in component:
-                        component.add(neighbor)
+                for neighbor in self.graph.neighbors(stack.pop()):
+                    if neighbor != edge.right and neighbor not in side:
+                        side.add(neighbor)
                         stack.append(neighbor)
-            left = frozenset(component)
-            right = subset - left
-            splits.append((left, right))
-        return splits
-
-    # -- cost of one join step ----------------------------------------------
-
-    def _join_step_cost(self, build: JoinTree, probe: JoinTree,
-                        selectivity: float) -> float:
-        build_card = self.estimator.cardinality(build)
-        probe_card = self.estimator.cardinality(probe)
-        out_card = build_card * probe_card * selectivity
-        return (
-            self.cost_model.build_instructions(build_card)
-            + self.cost_model.probe_instructions(probe_card, out_card)
-        )
-
-    def _leaf_cost(self, leaf: BaseNode) -> float:
-        card = self.estimator.cardinality(leaf)
-        return (
-            self.cost_model.scan_instructions(card)
-            + self.cost_model.scan_io_seconds(card) * self.cost_model.params.mips
-        )
+            sides.append((edge, frozenset(side)))
+        return sides
 
     # -- the DP ---------------------------------------------------------------
 
     def run(self) -> list[PlanCandidate]:
         """Top-``k`` bushy trees for the full relation set, cheapest first."""
-        best: dict[frozenset[str], list[PlanCandidate]] = {}
+        model = self.cost_model
+        # subset -> its top k as (cost, cardinality, tree); the tree
+        # carries its signature
+        best: dict[frozenset[str], list[tuple[float, float, JoinTree]]] = {}
         for name in self.graph.names:
             leaf = BaseNode(self.graph.relation(name))
-            best[frozenset((name,))] = [PlanCandidate(self._leaf_cost(leaf), leaf)]
+            card = self.estimator.cardinality(leaf)
+            cost = (
+                model.scan_instructions(card)
+                + model.scan_io_seconds(card) * model.params.mips
+            )
+            best[leaf.relations] = [(cost, card, leaf)]
 
+        sides = self._sides()
         for subset in self.connected_subsets():
             if len(subset) == 1:
                 continue
-            candidates: list[PlanCandidate] = []
-            seen: set[str] = set()
-            for left, right in self._splits(subset):
-                edge = self.graph.connecting_edges(left, right)[0]
+            ranked = []
+            for edge, side in sides:
+                if edge.left not in subset or edge.right not in subset:
+                    continue
+                left = subset & side
+                selectivity = edge.selectivity
                 for l_cand in best[left]:
-                    for r_cand in best[right]:
-                        for build, probe, b_cost, p_cost in (
-                            (l_cand.tree, r_cand.tree, l_cand.cost, r_cand.cost),
-                            (r_cand.tree, l_cand.tree, r_cand.cost, l_cand.cost),
-                        ):
-                            tree = JoinNode(build, probe, edge.selectivity)
-                            signature = tree_signature(tree)
-                            if signature in seen:
-                                continue
-                            seen.add(signature)
-                            cost = b_cost + p_cost + self._join_step_cost(
-                                build, probe, edge.selectivity
+                    for r_cand in best[subset - left]:
+                        for build, probe in ((l_cand, r_cand), (r_cand, l_cand)):
+                            b_cost, b_card, b_tree = build
+                            p_cost, p_card, p_tree = probe
+                            out_card = b_card * p_card * selectivity
+                            cost = b_cost + p_cost + (
+                                model.build_instructions(b_card)
+                                + model.probe_instructions(p_card, out_card)
                             )
-                            candidates.append(PlanCandidate(cost, tree))
-            candidates.sort(key=lambda c: (c.cost, c.signature))
-            best[subset] = candidates[: self.k]
+                            signature = f"({b_tree.signature}>{p_tree.signature})"
+                            ranked.append((cost, signature, out_card,
+                                           b_tree, p_tree, selectivity))
+            # Distinct splits and orientations give distinct top-level
+            # build sets, so signatures never repeat and the key is total.
+            ranked.sort(key=itemgetter(0, 1))
+            best[subset] = [
+                (cost, card, JoinNode(b_tree, p_tree, selectivity))
+                for cost, _sig, card, b_tree, p_tree, selectivity
+                in ranked[: self.k]
+            ]
 
         full = frozenset(self.graph.names)
-        return best[full]
+        return [PlanCandidate(cost, tree) for cost, _card, tree in best[full]]
 
 
 def best_bushy_trees(graph: QueryGraph, k: int = 2,

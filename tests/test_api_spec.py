@@ -226,6 +226,18 @@ class TestPlanSpecBuild:
                         workload_queries=3, scale=0.01, seed=4)
         assert len(spec.build(cluster)) == 2
 
+    def test_workload_mix_rejects_more_plans_than_it_has(self):
+        # Two plans per query: 2 queries hold 4 plans, not 40.
+        with pytest.raises(ValueError, match="plan_count 40 exceeds the 4 plans"):
+            PlanSpec(kind="workload_mix", plan_count=40, workload_queries=2)
+        assert PlanSpec(kind="workload_mix", plan_count=4,
+                        workload_queries=2).plan_count == 4
+        data = ScenarioSpec().to_dict()
+        data["plans"] = {"kind": "workload_mix", "plan_count": 40,
+                         "workload_queries": 2}
+        with pytest.raises(SpecError, match=r"\$\.plans: .*plan_count 40"):
+            ScenarioSpec.from_dict(data)
+
     def test_cluster_machine_knobs_reach_plan_compilation(self):
         # A non-default page size in the scenario's cluster must be the
         # page size the plans compile against, not the factory default.

@@ -1,5 +1,9 @@
 """Tests for join trees, the cost model, and the bushy search."""
 
+import copy
+import dataclasses
+import itertools
+import pickle
 import random
 
 import pytest
@@ -15,6 +19,7 @@ from repro.optimizer import (
     CostParams,
     JoinNode,
     best_bushy_trees,
+    compile_plan,
     distort_cardinalities,
     is_left_deep,
     is_right_deep,
@@ -25,7 +30,7 @@ from repro.optimizer import (
     validate_tree,
 )
 from repro.query import JoinEdge, QueryGenerator, QueryGraph
-from repro.sim import RandomStreams
+from repro.sim import MachineConfig, RandomStreams
 
 
 def chain_graph(cards=(100, 200, 300, 400)):
@@ -41,6 +46,87 @@ def chain_graph(cards=(100, 200, 300, 400)):
 
 def leaf(graph, name):
     return BaseNode(graph.relation(name))
+
+
+@st.composite
+def tree_graphs(draw, min_relations=3, max_relations=7):
+    """A random tree-shaped query graph: R{i} hangs off an earlier relation."""
+    n = draw(st.integers(min_relations, max_relations))
+    relations = [Relation(f"R{i}", draw(st.integers(10, 5000))) for i in range(n)]
+    edges = [
+        JoinEdge(f"R{draw(st.integers(0, i - 1))}", f"R{i}",
+                 draw(st.floats(1e-4, 0.1)))
+        for i in range(1, n)
+    ]
+    return QueryGraph(relations, edges)
+
+
+@st.composite
+def join_trees(draw, max_relations=8):
+    """A random bushy tree: repeatedly join two random pending subtrees."""
+    n = draw(st.integers(1, max_relations))
+    pending = [BaseNode(Relation(f"R{i}", draw(st.integers(1, 1000))))
+               for i in range(n)]
+    while len(pending) > 1:
+        build = pending.pop(draw(st.integers(0, len(pending) - 1)))
+        probe = pending.pop(draw(st.integers(0, len(pending) - 1)))
+        pending.append(JoinNode(build, probe, draw(st.floats(1e-4, 1.0))))
+    return pending[0]
+
+
+def all_bushy_trees(graph):
+    """Every cross-product-free join tree of ``graph``, both orientations."""
+    memo = {}
+
+    def trees(subset):
+        if subset in memo:
+            return memo[subset]
+        if len(subset) == 1:
+            (name,) = subset
+            found = [leaf(graph, name)]
+        else:
+            found = []
+            for size in range(1, len(subset)):
+                for chosen in itertools.combinations(sorted(subset), size):
+                    build_set = frozenset(chosen)
+                    probe_set = subset - build_set
+                    if not (graph.is_connected_subset(build_set)
+                            and graph.is_connected_subset(probe_set)):
+                        continue
+                    (edge,) = graph.connecting_edges(build_set, probe_set)
+                    for build in trees(build_set):
+                        for probe in trees(probe_set):
+                            found.append(JoinNode(build, probe, edge.selectivity))
+        memo[subset] = found
+        return found
+
+    return trees(frozenset(graph.names))
+
+
+def recursive_relations(tree):
+    if isinstance(tree, BaseNode):
+        return frozenset((tree.relation.name,))
+    return recursive_relations(tree.build) | recursive_relations(tree.probe)
+
+
+def recursive_signature(tree):
+    if isinstance(tree, BaseNode):
+        return tree.relation.name
+    return f"({recursive_signature(tree.build)}>{recursive_signature(tree.probe)})"
+
+
+def rebuilt(tree):
+    """A structurally equal tree made of fresh nodes."""
+    if isinstance(tree, BaseNode):
+        return BaseNode(tree.relation)
+    return JoinNode(rebuilt(tree.build), rebuilt(tree.probe), tree.selectivity)
+
+
+def assert_cached_fields_hold(tree):
+    for node in [*leaves(tree), *joins(tree)]:
+        assert node.relations == recursive_relations(node)
+        assert node.signature == recursive_signature(node)
+        assert tree_signature(node) == node.signature
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +218,50 @@ class TestJoinTree:
         from repro.query import GraphError
         with pytest.raises(GraphError):
             validate_tree(partial, graph)
+
+    def test_non_positive_selectivity_rejected(self):
+        graph = chain_graph()
+        for selectivity in (0.0, -0.5):
+            with pytest.raises(ValueError, match="selectivity must be positive"):
+                JoinNode(leaf(graph, "R0"), leaf(graph, "R1"), selectivity)
+
+    def test_overlapping_composite_children_rejected(self):
+        graph = chain_graph()
+        sel = graph.edge_between("R0", "R1").selectivity
+        pair = JoinNode(leaf(graph, "R0"), leaf(graph, "R1"), sel)
+        with pytest.raises(ValueError, match="children overlap on \\['R1'\\]"):
+            JoinNode(pair, leaf(graph, "R1"), sel)
+
+    def test_cached_fields_take_no_part_in_equality(self):
+        for cls in (BaseNode, JoinNode):
+            cached = {f.name for f in dataclasses.fields(cls) if not f.compare}
+            assert cached == {"relations", "signature"}
+            assert not any(f.init or f.repr for f in dataclasses.fields(cls)
+                           if f.name in cached)
+
+    @given(tree=join_trees())
+    @settings(max_examples=40, deadline=None)
+    def test_property_cached_fields_match_recursive_definitions(self, tree):
+        assert_cached_fields_hold(tree)
+        twin = rebuilt(tree)
+        assert twin is not tree
+        assert twin == tree
+        assert hash(twin) == hash(tree)
+        assert twin.signature == tree.signature
+
+    def test_compiled_plan_survives_pickle_and_deepcopy(self):
+        # Sweep workers receive plans pickled; the cached fields must
+        # travel with the nodes rather than be rebuilt or lost.
+        graph = chain_graph()
+        tree = best_bushy_trees(graph, k=1)[0]
+        plan = compile_plan(graph, tree,
+                            MachineConfig(nodes=2, processors_per_node=2))
+        for clone in (pickle.loads(pickle.dumps(plan)), copy.deepcopy(plan)):
+            assert clone.join_tree is not plan.join_tree
+            assert clone.join_tree == plan.join_tree
+            assert clone.join_tree.signature == plan.join_tree.signature
+            assert clone.join_tree.relations == frozenset(graph.names)
+            assert_cached_fields_hold(clone.join_tree)
 
     def test_tree_signature_distinguishes_orientation(self):
         graph = chain_graph()
@@ -270,6 +400,24 @@ class TestBushySearch:
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             BushySearch(chain_graph(), k=0)
+
+    @given(graph=tree_graphs())
+    @settings(max_examples=25, deadline=None)
+    def test_property_search_matches_exhaustive_oracle(self, graph):
+        # Ground truth: cost every bushy tree, both orientations, with the
+        # plain recursive cost model, and rank them.
+        model = CostModel()
+        estimator = CardinalityEstimator(graph)
+        oracle = sorted(
+            (model.join_tree_cost(tree, estimator=estimator), tree_signature(tree))
+            for tree in all_bushy_trees(graph)
+        )
+        for k in (1, 2, 3):
+            found = BushySearch(graph, cost_model=model, k=k).run()
+            assert [c.cost for c in found] == pytest.approx(
+                [cost for cost, _sig in oracle[:k]], rel=1e-9)
+            if oracle[1][0] != pytest.approx(oracle[0][0], rel=1e-9):
+                assert found[0].signature == oracle[0][1]
 
     @given(seed=st.integers(0, 50))
     @settings(max_examples=15, deadline=None)

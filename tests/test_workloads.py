@@ -1,8 +1,10 @@
 """Tests for the workload builder and the canned scenarios."""
 
+import hashlib
+
 import pytest
 
-from repro.optimizer import is_right_deep, validate_tree
+from repro.optimizer import BushySearch, CostModel, is_right_deep, validate_tree
 from repro.sim import MachineConfig
 from repro.workloads import (
     WorkloadConfig,
@@ -71,6 +73,24 @@ class TestWorkloadBuilder:
         for i in range(0, len(workload.plans), 2):
             a, b = workload.plans[i], workload.plans[i + 1]
             assert tree_signature(a.join_tree) != tree_signature(b.join_tree)
+
+    def test_paper_population_is_pinned(self):
+        # The paper's 20 queries, two best bushy trees each: every tree's
+        # signature and its search cost, bit for bit.  A change here means
+        # the optimizer's output moved, and with it every figure.
+        config = WorkloadConfig()
+        cost_model = CostModel()
+        digest = hashlib.sha256()
+        for graph, trees, index in build_query_population(config).entries:
+            found = BushySearch(graph, cost_model=cost_model,
+                                k=config.plans_per_query).run()
+            assert tuple(c.tree for c in found) == trees
+            digest.update(f"{index}\n".encode())
+            for candidate in found:
+                digest.update(
+                    f"{candidate.signature} {candidate.cost.hex()}\n".encode())
+        assert digest.hexdigest() == (
+            "6919d3cefd3e85d875d4ddccebe8267160c2fb7109c11f349b929b856be1453b")
 
     def test_invalid_config_detected(self):
         with pytest.raises(RuntimeError):
