@@ -33,18 +33,18 @@ from pathlib import Path
 
 #: entries that must be present in both files, keyed by the fresh file's
 #: basename: the timer storm and one resource storm per scheduling
-#: discipline (kernel), the Section 5.1.2 grid (macro charges) and both
-#: kernels' replay rates (trace replay).
+#: discipline (kernel), the Section 5.1.2 grid (macro charges), the
+#: replay rate (trace replay) and the overload sweep's rate (overload).
 REQUIRED = {
     "BENCH_kernel.json": (
-        "timer", "resource_fifo", "resource_fair", "resource_priority",
+        "timer", "resource_fifo_discrete", "resource_fair", "resource_priority",
     ),
     "BENCH_macro_charge.json": (
         "sec512.mpl1_tuple", "sec512.mpl1_batched",
         "sec512.mpl8_tuple", "sec512.mpl8_batched",
     ),
-    "BENCH_trace_replay.json": ("replay_event", "replay_hybrid"),
-    "BENCH_overload.json": ("overload_event", "overload_hybrid"),
+    "BENCH_trace_replay.json": ("replay_event",),
+    "BENCH_overload.json": ("overload_event",),
 }
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..catalog.skew import SkewSpec
 from ..optimizer.cost import CostParams
@@ -141,31 +140,6 @@ class ExecutionParams:
     disk: DiskParams = field(default_factory=DiskParams)
     network: NetworkParams = field(default_factory=NetworkParams)
 
-    # --- simulation kernel (PR 7) -------------------------------------------
-    #: which kernel services uncontended FIFO charges:
-    #:
-    #: * ``"event"`` (default): one discrete completion event per charge —
-    #:   the seed behaviour, byte-identical figure outputs;
-    #: * ``"hybrid"``: FIFO resources run the analytic fast-forward path
-    #:   (:class:`~repro.sim.core.FIFOFastForward`) — completion instants,
-    #:   waits, wait/busy times are bit-identical to ``"event"``, but the
-    #:   kernel's internal event sequence numbering differs, so exact
-    #:   same-instant ties *can* order differently in pathological
-    #:   workloads (the property suite pins equality on the paper's
-    #:   mixes).  Fair/priority resources keep their discrete queued
-    #:   service either way (future arrivals legally reorder grants).
-    kernel: str = "event"
-    #: optional integer-tick clock: every scheduled instant is quantized
-    #: to a multiple of this tick (``Environment(tick=...)``), making
-    #: instants canonical per grid point instead of depending on the
-    #: exact float-addition order that produced them.  ``None`` keeps the
-    #: seed's continuous clock (required for byte-identical figures).
-    clock_tick: Optional[float] = None
-    #: pending-event structure: ``"heap"`` (C-accelerated binary heap,
-    #: default and fastest here) or ``"calendar"`` (indexed calendar
-    #: queue, ordering-identical; see ``sim/eventq.py``).
-    event_queue: str = "heap"
-
     # --- determinism ---------------------------------------------------------
     seed: int = 0
 
@@ -217,21 +191,11 @@ class ExecutionParams:
                     f"unknown {field_name} {value!r}; known: "
                     f"{discipline_names()}"
                 )
-        if self.kernel not in ("event", "hybrid"):
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; known: ['event', 'hybrid']"
-            )
-        if self.clock_tick is not None and (
-                not math.isfinite(self.clock_tick) or self.clock_tick <= 0):
-            raise ValueError(
-                f"clock_tick must be positive and finite, got {self.clock_tick}"
-            )
-        if self.event_queue not in ("heap", "calendar"):
-            raise ValueError(
-                f"unknown event_queue {self.event_queue!r}; "
-                "known: ['heap', 'calendar']"
-            )
-        if self.cross_steal_imbalance < 1.0:
+        for name in ("steal_cooldown", "signal_instructions"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not self.cross_steal_imbalance >= 1.0:
             raise ValueError(
                 f"cross_steal_imbalance must be >= 1, got "
                 f"{self.cross_steal_imbalance}"

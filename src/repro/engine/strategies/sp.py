@@ -66,13 +66,10 @@ class SynchronousPipeliningExecutor:
 
     def run(self) -> ExecutionResult:
         """Execute all pipeline chains; returns the execution result."""
-        env = Environment(tick=self.params.clock_tick,
-                          queue=self.params.event_queue)
+        env = Environment()
         k = self.config.processors_per_node
         disks = [Disk(env, self.params.disk, name=f"d0.{d}") for d in range(k)]
-        processors = make_processors(
-            env, self.config, fast_forward=self.params.kernel == "hybrid"
-        )[0]
+        processors = make_processors(env, self.config)[0]
         self.launch(env, disks, processors)
         env.run()
         return self.collect(start_time=0.0, end_time=env.now)

@@ -22,13 +22,9 @@ declarative scenario API (:class:`~repro.api.spec.ScenarioSpec` with a
 :class:`~repro.cluster.spec.ClusterSpec`), so each row is one
 serializable spec.
 
-The determinism gate pins :meth:`ElasticResult.digest` rather than the
-full table: membership trajectories and movement totals are discrete
-outcomes shared bit-for-bit by both kernels, while the latency floats
-are legitimately perturbed by the hybrid kernel's documented
-same-instant tie reordering (see
-:class:`~repro.sim.core.FIFOFastForward` — elastic membership timeouts
-create exactly such ties), so they stay out of the baseline.
+The determinism gate pins :meth:`ElasticResult.digest` (membership
+trajectories and movement totals) followed by the full table, latency
+floats included.
 """
 
 from __future__ import annotations
@@ -104,13 +100,11 @@ class ElasticResult:
         )
 
     def digest(self) -> str:
-        """Kernel-invariant outcome lines — what the determinism gate pins.
+        """Discrete outcome lines, one per regime.
 
-        Everything here is a discrete outcome (counts, byte totals, the
-        membership trajectory) that the event and hybrid kernels must
-        agree on exactly; the latency floats of :meth:`table` are
-        excluded because same-instant tie ordering is allowed to differ
-        between kernels (the opt-in caveat on ``FIFOFastForward``).
+        Counts, byte totals and the membership trajectory — the
+        integers an elasticity change moves first.  The determinism
+        gate pins these lines followed by the full :meth:`table`.
         """
         lines = []
         for row in self.rows:
@@ -138,9 +132,7 @@ def elastic_scenarios(options: ExperimentOptions,
     """The three (label, ScenarioSpec) regimes of the comparison."""
     from ..api.spec import PlanSpec, ScenarioSpec
 
-    params = scaled_execution_params(
-        scale=options.scale, seed=options.seed, kernel=options.kernel,
-    )
+    params = scaled_execution_params(scale=options.scale, seed=options.seed)
     machines = MachineConfig(nodes=big_nodes,
                              processors_per_node=processors_per_node)
     plans = PlanSpec(

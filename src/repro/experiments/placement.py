@@ -53,7 +53,7 @@ from .registry import register_experiment
 from .reporting import format_table
 
 __all__ = ["PlacementSweepResult", "Regime", "run", "base_scenario",
-           "sweep_spec", "determinism_digest", "PAPER_EXPECTATION",
+           "sweep_spec", "determinism_grid", "PAPER_EXPECTATION",
            "POLICIES", "REGIMES", "STEAL_MODES"]
 
 #: placement policies on the sweep's x-axis (``paper`` = optimizer homes
@@ -198,16 +198,11 @@ class PlacementSweepResult:
         return "\n".join(lines)
 
     def digest(self) -> str:
-        """Kernel-invariant outcome lines — what the determinism gate pins.
+        """Admission-time discrete outcomes, one line per cell.
 
-        Admission-time discrete outcomes only: completions, plans
-        rewritten and estimated bytes avoided are exact integers both
-        kernels must agree on.  Steal traffic is excluded along with
-        the latency floats — on rewritten (narrowed) homes the steal
-        protocol's round-by-round victim choice is sensitive to
-        same-instant tie ordering, which the hybrid kernel is
-        documented to resolve differently (the opt-in caveat on
-        ``FIFOFastForward``).
+        Completions, plans rewritten and estimated bytes avoided — the
+        exact integers a placement change moves first.  The determinism
+        gate pins these lines followed by the full :meth:`table`.
         """
         lines = []
         for cell in self.cells:
@@ -243,7 +238,6 @@ def base_scenario(options: ExperimentOptions, regime: Regime = REGIMES[0],
             scale=options.scale,
             skew=SkewSpec.uniform_redistribution(regime.skew),
             seed=options.seed,
-            kernel=options.kernel,
             charge_quantum=charge_quantum,
         ),
         workload=WorkloadSpec(
@@ -336,20 +330,20 @@ def run(options: Optional[ExperimentOptions] = None,
     return PlacementSweepResult(cells=tuple(cells), options=options)
 
 
-def determinism_digest(options: Optional[ExperimentOptions] = None) -> str:
-    """The reduced grid the determinism gate pins (see its ``digest``).
+def determinism_grid(options: Optional[ExperimentOptions] = None
+                     ) -> PlacementSweepResult:
+    """The reduced grid the determinism gate pins (digest and table).
 
     One fast regime (``io-heavy``), three policies, both steal modes —
     small enough to run inside the byte-identity gate, wide enough to
     exercise the rewrite path, the no-op paper path and the counters.
     """
     options = options or ExperimentOptions.quick()
-    result = run(
+    return run(
         options, regimes=(REGIMES[2],),
         policies=("paper", "round_robin", "load_aware"),
         queries_per_cell=6,
     )
-    return result.digest()
 
 
 def main(argv: Optional[list] = None) -> int:  # pragma: no cover - CLI

@@ -23,6 +23,7 @@ estimator propagate them upward.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -54,6 +55,17 @@ class CostParams:
     activation_overhead_instructions: int = 150
     foreign_queue_penalty_instructions: int = 50
     mips: float = 40e6
+
+    def __post_init__(self) -> None:
+        for name in ("scan_instructions_per_tuple", "build_instructions_per_tuple",
+                     "probe_instructions_per_tuple", "result_instructions_per_tuple",
+                     "activation_overhead_instructions",
+                     "foreign_queue_penalty_instructions"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not self.mips > 0:
+            raise ValueError(f"mips must be > 0, got {self.mips}")
 
     def instructions_time(self, instructions: float) -> float:
         """Seconds of CPU for ``instructions`` at the model's MIPS rate."""

@@ -56,19 +56,15 @@ class SharedSubstrate:
                  params: Optional[ExecutionParams] = None):
         self.config = config
         self.params = params or ExecutionParams()
-        self.env = Environment(tick=self.params.clock_tick,
-                               queue=self.params.event_queue)
+        self.env = Environment()
         self.machine = Machine(config)
-        #: hybrid kernel: FIFO resources fast-forward analytically (a
-        #: structural no-op under fair/priority — see ``Resource``).
-        fast_forward = self.params.kernel == "hybrid"
         #: the CPU scheduling discipline every processor of this machine
         #: runs (``params.cpu_discipline``): FIFO, fair share or
         #: priority-preemptive — the serving layer's machine-scheduler
         #: choice, uniform across the machine.
         self.discipline = make_discipline(self.params.cpu_discipline)
         self.processors: list[list[Processor]] = make_processors(
-            self.env, config, self.discipline, fast_forward=fast_forward
+            self.env, config, self.discipline
         )
         #: every disk arm of the machine runs ``params.disk_discipline``
         #: — the same registry as the CPUs, so an interactive class's
@@ -85,7 +81,6 @@ class SharedSubstrate:
             self.net_link = NetworkLink(
                 self.env, self.params.network,
                 make_discipline(self.params.net_discipline),
-                fast_forward=fast_forward,
             )
         #: live (admitted, unfinished) execution contexts.
         self.contexts: list = []

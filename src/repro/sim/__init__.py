@@ -12,7 +12,6 @@ from .core import (
     Event,
     FairShareDiscipline,
     FIFODiscipline,
-    FIFOFastForward,
     Interrupt,
     PriorityPreemptiveDiscipline,
     Process,
@@ -36,7 +35,6 @@ __all__ = [
     "Environment",
     "Event",
     "FIFODiscipline",
-    "FIFOFastForward",
     "FairShareDiscipline",
     "Interrupt",
     "PriorityPreemptiveDiscipline",

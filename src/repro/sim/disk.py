@@ -55,6 +55,7 @@ pages — the ``IO_InitAsync``/``IO_Read`` pattern of Section 4.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -74,6 +75,16 @@ class DiskParams:
     async_init_instructions: int = 5000
     io_cache_pages: int = 8
     page_size: int = 8 * 1024
+
+    def __post_init__(self) -> None:
+        for name in ("latency", "seek_time", "async_init_instructions"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        for name in ("transfer_rate", "page_size"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
 
     def service_time(self, pages: int) -> float:
         """Wall time for one synchronous request of ``pages`` pages."""
@@ -158,17 +169,6 @@ class Disk:
     def discipline_name(self) -> str:
         """Registry name of the discipline this arm runs."""
         return "fifo" if self._arm is None else self._arm.discipline.name
-
-    @property
-    def fast_forward(self) -> bool:
-        """Whether this arm services requests analytically (O(1) events).
-
-        The FIFO path (``_arm is None``) *is* the busy-period math the
-        hybrid kernel's :class:`~repro.sim.core.FIFOFastForward`
-        generalizes — the disk has always fast-forwarded; only the
-        fair/priority arm schedules discrete grants.
-        """
-        return self._arm is None
 
     @property
     def preemptions(self) -> int:

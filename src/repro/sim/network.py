@@ -36,6 +36,7 @@ them back through :meth:`Network.bytes_for`.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
@@ -68,7 +69,14 @@ class NetworkParams:
     bandwidth: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.bandwidth is not None and self.bandwidth <= 0:
+        for name in ("transmission_delay", "send_instructions_per_8k",
+                     "receive_instructions_per_8k"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not self.message_unit > 0:
+            raise ValueError(f"message_unit must be > 0, got {self.message_unit}")
+        if self.bandwidth is not None and not self.bandwidth > 0:
             raise ValueError(
                 f"bandwidth must be positive (or None), got {self.bandwidth}"
             )
@@ -119,15 +127,13 @@ class NetworkLink:
     """
 
     def __init__(self, env: Environment, params: NetworkParams,
-                 discipline: Optional[SchedulingDiscipline] = None,
-                 fast_forward: bool = False):
+                 discipline: Optional[SchedulingDiscipline] = None):
         if params.bandwidth is None:
             raise ValueError("a NetworkLink needs finite bandwidth")
         self.env = env
         self.params = params
         self.resource = Resource(env, capacity=1, name="net:link",
-                                 discipline=discipline,
-                                 fast_forward=fast_forward)
+                                 discipline=discipline)
         # --- statistics -------------------------------------------------
         self.busy_time = 0.0
         self.wait_time = 0.0
@@ -168,15 +174,13 @@ class Network:
 
     def __init__(self, env: Environment, params: Optional[NetworkParams] = None,
                  link: Optional[NetworkLink] = None,
-                 discipline: Optional[SchedulingDiscipline] = None,
-                 fast_forward: bool = False):
+                 discipline: Optional[SchedulingDiscipline] = None):
         self.env = env
         self.params = params or NetworkParams()
         #: the shared physical link (None on the infinite-bandwidth path).
         self.link = link
         if self.link is None and self.params.bandwidth is not None:
-            self.link = NetworkLink(env, self.params, discipline,
-                                    fast_forward=fast_forward)
+            self.link = NetworkLink(env, self.params, discipline)
         # --- statistics -------------------------------------------------
         self._inboxes: dict[int, Callable[[Message], None]] = {}
         self.messages_sent = 0

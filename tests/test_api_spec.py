@@ -163,6 +163,42 @@ class TestStrictDecoding:
         with pytest.raises(SpecError, match="invalid JSON"):
             ScenarioSpec.from_json("{not json")
 
+    def test_removed_kernel_knob_is_unknown(self):
+        with pytest.raises(SpecError, match=r"\$\.params: unknown key.*kernel"):
+            ScenarioSpec.from_dict({"params": {"kernel": "event"}})
+
+    @pytest.mark.parametrize("keys, value, where", [
+        (("disk", "latency"), -1.0, r"\$\.params\.disk: .*latency"),
+        (("disk", "latency"), float("inf"), r"\$\.params\.disk: .*latency"),
+        (("disk", "seek_time"), float("nan"), r"\$\.params\.disk: .*seek_time"),
+        (("disk", "transfer_rate"), 0.0, r"\$\.params\.disk: .*transfer_rate"),
+        (("disk", "page_size"), 0, r"\$\.params\.disk: .*page_size"),
+        (("disk", "async_init_instructions"), -1,
+         r"\$\.params\.disk: .*async_init_instructions"),
+        (("network", "transmission_delay"), -1.0,
+         r"\$\.params\.network: .*transmission_delay"),
+        (("network", "send_instructions_per_8k"), -1,
+         r"\$\.params\.network: .*send_instructions_per_8k"),
+        (("network", "message_unit"), 0,
+         r"\$\.params\.network: .*message_unit"),
+        (("cost", "mips"), float("nan"), r"\$\.params\.cost: .*mips"),
+        (("cost", "mips"), 0.0, r"\$\.params\.cost: .*mips"),
+        (("cost", "probe_instructions_per_tuple"), -1,
+         r"\$\.params\.cost: .*probe_instructions_per_tuple"),
+        (("signal_instructions",), -5, r"\$\.params: .*signal_instructions"),
+        (("steal_cooldown",), float("inf"), r"\$\.params: .*steal_cooldown"),
+        (("cross_steal_imbalance",), float("nan"),
+         r"\$\.params: .*cross_steal_imbalance"),
+    ])
+    def test_invalid_timing_params_fail_at_load(self, keys, value, where):
+        data = json.loads((SCENARIO_DIR / "single_query.json").read_text())
+        target = data["params"]
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        with pytest.raises(SpecError, match=where):
+            ScenarioSpec.from_dict(data)
+
 
 class TestSpecValidation:
     def test_unknown_mode(self):

@@ -170,20 +170,17 @@ class TestServingStress4x8:
 class TestServingStress50Tier1:
     """The 50-query closed-loop stress shape, promoted into tier-1.
 
-    Runs under the hybrid kernel (``ExecutionParams.kernel="hybrid"``),
-    so every push exercises analytic fast-forward at real
-    multiprogramming scale — 50 queries on the paper's 4x8 machine —
-    and the run stays well inside the tier-1 time budget (<10s).  The
-    discrete-kernel original remains in the slow tier above.
+    Every push exercises real multiprogramming scale — 50 queries on
+    the paper's 4x8 machine — and the run stays well inside the tier-1
+    time budget (<10s).
     """
 
-    def test_closed_loop_50_queries_hybrid_kernel(self):
+    def test_closed_loop_50_queries(self):
         plan, config = pipeline_chain_scenario(
             nodes=4, processors_per_node=8, base_tuples=4000,
         )
         params = ExecutionParams(
-            skew=SkewSpec.uniform_redistribution(0.8), seed=1,
-            kernel="hybrid",
+            skew=SkewSpec.uniform_redistribution(0.8), seed=1
         )
         spec = stress_spec(
             50, ArrivalSpec(kind="closed", population=12), mpl=12

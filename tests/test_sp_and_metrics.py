@@ -2,12 +2,17 @@
 
 import pytest
 
+from repro.catalog import SkewSpec
 from repro.engine import (
     ExecutionMetrics,
+    ExecutionParams,
     QueryExecutor,
     SynchronousPipeliningExecutor,
 )
+from repro.engine.metrics import StreamingWorkloadMetrics
 from repro.optimizer import chain_total_order
+from repro.serving import (AdmissionPolicy, ArrivalSpec, WorkloadDriver,
+                           WorkloadSpec)
 from repro.sim import MachineConfig
 from repro.workloads import pipeline_chain_scenario, two_node_join_scenario
 
@@ -98,3 +103,36 @@ class TestSPExecutor:
         result = QueryExecutor(plan, config, strategy="SP").run()
         expected = sum(r.cardinality for r in plan.graph.relations.values())
         assert result.metrics.tuples_scanned == expected
+
+
+class TestStreamingWorkloadMetrics:
+    def test_streaming_summary_matches_retained(self):
+        """A mixed multi-query workload reports the same digest through
+        ``StreamingWorkloadMetrics`` as through the retaining
+        ``WorkloadMetrics``, without keeping per-query results."""
+        plan, config = pipeline_chain_scenario(
+            nodes=2, processors_per_node=2, base_tuples=600,
+        )
+        spec = WorkloadSpec(
+            queries=8,
+            arrival=ArrivalSpec(kind="poisson", rate=40.0),
+            strategy="DP",
+            policy=AdmissionPolicy(max_multiprogramming=4),
+            seed=11,
+        )
+        params = ExecutionParams(
+            skew=SkewSpec.uniform_redistribution(0.8), seed=11
+        )
+        retained = WorkloadDriver(plan, config, spec, params).run().metrics
+
+        streaming_sink = StreamingWorkloadMetrics()
+        streaming = WorkloadDriver(
+            plan, config, spec, params, metrics=streaming_sink,
+        ).run().metrics
+        assert streaming is streaming_sink
+        assert not streaming.completions  # nothing retained
+        expected = dict(retained.summary())
+        expected.pop("per_query")
+        assert repr(streaming.summary()) == repr(expected)
+        with pytest.raises(NotImplementedError):
+            streaming.completions_of("default")
