@@ -9,8 +9,8 @@ overload* — the offered rate exceeds the tiny substrate's capacity, so
 the admission queue stays deep and the overload scans (shedding,
 head-of-line selection) are genuinely on the hot path.
 
-The replay uses a :class:`~repro.engine.metrics.StreamingWorkloadMetrics`
-sink (O(1) per-query memory) and batched macro-charges.
+The replay uses a ``WorkloadMetrics(retain=False)`` sink (per-query
+latencies only, no retained results) and batched macro-charges.
 
 At macro-charge granularity the engine's per-activation machinery, not
 kernel charge events, dominates replay wall-clock.  What made
@@ -25,7 +25,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.engine.metrics import StreamingWorkloadMetrics
+from repro.engine.metrics import WorkloadMetrics
 from repro.engine.params import ExecutionParams
 from repro.serving.admission import AdmissionPolicy
 from repro.serving.arrivals import ArrivalSpec
@@ -77,7 +77,7 @@ def run_replay(plan, config, trace) -> dict:
         seed=SEED,
     )
     driver = WorkloadDriver([plan], config, spec, params=params,
-                            trace=trace, metrics=StreamingWorkloadMetrics())
+                            trace=trace, metrics=WorkloadMetrics(retain=False))
     coordinator = driver.build_coordinator()
     start = time.perf_counter()
     metrics = coordinator.run()

@@ -14,6 +14,7 @@ Example::
 
 from __future__ import annotations
 
+import copy
 from typing import Optional, Union
 
 from ..optimizer.plan import ParallelExecutionPlan
@@ -139,5 +140,8 @@ class QueryExecutor:
             strategy=self.strategy_name,
             config_label=self.config.describe(),
             response_time=context.response_time,
-            metrics=metrics,
+            # A snapshot: under the serving layer this runs when the root
+            # terminates, and threads still finishing an in-flight charge
+            # go on adding CPU contention to the live context metrics.
+            metrics=copy.copy(metrics),
         )

@@ -15,16 +15,20 @@ paper's analyses:
 The serving layer (:mod:`repro.serving`) adds workload-level observables
 on top: :class:`QueryCompletion` splits each query's lifetime into
 queueing delay (arrival → admission) and execution time (admission →
-completion), and :class:`WorkloadMetrics` aggregates a whole multi-query
-run — throughput, latency percentiles, queueing delay, per-query steal
-traffic.  Both are plain deterministic data: two runs with the same seed
-produce byte-identical :meth:`WorkloadMetrics.summary` output, which the
-determinism regression tests rely on.
+completion), and :class:`WorkloadMetrics` is the one accumulator of a
+whole multi-query run — throughput, latency percentiles, queueing delay,
+steal traffic, per service class and overall.  It folds each completion
+into running totals as it is recorded and, unless built with
+``retain=False``, also keeps the completions themselves for per-query
+reads.  Two runs with the same seed produce byte-identical
+:meth:`WorkloadMetrics.summary` output, which the determinism
+regression tests rely on.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,7 +38,6 @@ __all__ = [
     "QueryCompletion",
     "QueryShed",
     "ShedRecord",
-    "StreamingWorkloadMetrics",
     "WorkloadMetrics",
     "percentile",
 ]
@@ -145,11 +148,6 @@ class ExecutionResult:
     queueing_delay: float = 0.0
 
     @property
-    def execution_time(self) -> float:
-        """Alias for ``response_time`` (admission -> completion)."""
-        return self.response_time
-
-    @property
     def latency(self) -> float:
         """End-to-end client latency: queueing delay + execution time."""
         return self.queueing_delay + self.response_time
@@ -227,11 +225,6 @@ class QueryCompletion:
         """Load-balancing bytes shipped on behalf of this query."""
         return self.result.metrics.loadbalance_bytes
 
-    @property
-    def steal_messages(self) -> int:
-        """Load-balancing messages sent on behalf of this query."""
-        return self.result.metrics.loadbalance_messages
-
 
 @dataclass(frozen=True)
 class ShedRecord:
@@ -291,19 +284,69 @@ class QueryShed:
         return self.record.reason
 
 
+@dataclass(slots=True)
+class _Totals:
+    """Running totals over one set of completions: the run, or one class.
+
+    Sums start at ``0`` and add in record order, as ``sum()`` over the
+    completion list does, so each equals what the retained list gives
+    (an empty run's ``0`` included).
+    """
+
+    count: int = 0
+    #: latencies in record order; exact percentiles need every one.
+    latencies: list[float] = field(default_factory=list)
+    queueing: float = 0
+    queueing_max: float = 0.0
+    execution: float = 0
+    #: completions that met their SLO or declared none.
+    slo_met: int = 0
+    steal_bytes: int = 0
+    cross_steal_rounds: int = 0
+    cpu: float = 0
+    disk: float = 0
+    net: float = 0
+
+    def add(self, completion: QueryCompletion) -> None:
+        metrics = completion.result.metrics
+        queueing = completion.queueing_delay
+        if self.count == 0 or queueing > self.queueing_max:
+            self.queueing_max = queueing
+        self.count += 1
+        self.latencies.append(completion.latency)
+        self.queueing += queueing
+        self.execution += completion.execution_time
+        if completion.slo_met is not False:
+            self.slo_met += 1
+        self.steal_bytes += metrics.loadbalance_bytes
+        self.cross_steal_rounds += metrics.cross_steal_rounds
+        self.cpu += metrics.cpu_contention_time
+        self.disk += metrics.disk_wait_time
+        self.net += metrics.net_wait_time
+
+    def mean(self, total) -> float:
+        return total / self.count if self.count else 0.0
+
+
 @dataclass
 class WorkloadMetrics:
     """Aggregate observables of one multi-query workload run.
 
-    ``makespan`` is the virtual time from the first arrival to the last
-    completion; throughput and utilization are computed against it.  All
-    accessors are deterministic functions of the completion list, so two
-    runs of the same seeded workload produce byte-identical
-    :meth:`summary` strings (the determinism regression tests compare
-    exactly that).
+    :meth:`record` folds each completion into running totals for the run
+    and for its service class, and every aggregate below reads them.
+    ``makespan`` runs from the first arrival to the last completion.  Two
+    runs of one seeded workload give byte-identical :meth:`summary`
+    strings (the determinism regression tests compare exactly that).
+
+    ``retain`` (the default) also keeps each :class:`QueryCompletion`.
+    Only :attr:`completions`, :meth:`completions_of`,
+    :meth:`steal_bytes_per_query` and the digest's ``per_query`` rows
+    need them: with ``retain=False`` those raise or are omitted, every
+    other number is the same, and a query costs only its latencies.
     """
 
-    completions: list[QueryCompletion] = field(default_factory=list)
+    #: keep every QueryCompletion (see the class docstring).
+    retain: bool = True
     #: queries rejected by overload handling (queue timeout / deadline).
     shed: list[ShedRecord] = field(default_factory=list)
     #: queries generated but never admitted (still queued at the end of a
@@ -357,16 +400,33 @@ class WorkloadMetrics:
     #: processors added by scale-outs — the "load gained" denominator the
     #: movement cost is priced against.
     load_gained_processors: int = 0
+    # -- running state, filled by record() -------------------------------
+    _completions: list[QueryCompletion] = field(default_factory=list, init=False)
+    _totals: _Totals = field(default_factory=_Totals, init=False)
+    #: service class name -> that class's running totals.
+    _class_totals: defaultdict[str, _Totals] = field(
+        default_factory=lambda: defaultdict(_Totals), init=False)
 
     def record(self, completion: QueryCompletion) -> None:
-        if not self.completions:
-            self.first_arrival_time = completion.arrival_time
-        else:
-            self.first_arrival_time = min(self.first_arrival_time,
-                                          completion.arrival_time)
-        self.completions.append(completion)
+        arrival = completion.arrival_time
+        if self._totals.count == 0 or arrival < self.first_arrival_time:
+            self.first_arrival_time = arrival
         self.last_completion_time = max(self.last_completion_time,
                                         completion.completion_time)
+        self._totals.add(completion)
+        self._class_totals[completion.service_class].add(completion)
+        if self.retain:
+            self._completions.append(completion)
+
+    @property
+    def completions(self) -> list[QueryCompletion]:
+        """Every completion in record order (``retain=True`` only)."""
+        if not self.retain:
+            raise RuntimeError(
+                "WorkloadMetrics(retain=False) keeps no per-query "
+                "completions; read the aggregate accessors instead"
+            )
+        return self._completions
 
     @property
     def makespan(self) -> float:
@@ -377,48 +437,32 @@ class WorkloadMetrics:
 
     @property
     def completed(self) -> int:
-        return len(self.completions)
+        return self._totals.count
 
     def throughput(self) -> float:
         """Completed queries per virtual second over the makespan."""
-        if self.makespan <= 0:
-            return 0.0
-        return len(self.completions) / self.makespan
-
-    def latencies(self) -> list[float]:
-        return [c.latency for c in self.completions]
-
-    def latency_percentile(self, p: float) -> float:
-        return percentile(self.latencies(), p)
+        return self._totals.count / self.makespan if self.makespan > 0 else 0.0
 
     @property
     def p50_latency(self) -> float:
-        return self.latency_percentile(50.0)
+        return percentile(self._totals.latencies, 50.0)
 
     @property
     def p95_latency(self) -> float:
-        return self.latency_percentile(95.0)
+        return percentile(self._totals.latencies, 95.0)
 
     @property
     def p99_latency(self) -> float:
-        return self.latency_percentile(99.0)
-
-    def mean_latency(self) -> float:
-        lats = self.latencies()
-        return sum(lats) / len(lats) if lats else 0.0
+        return percentile(self._totals.latencies, 99.0)
 
     def mean_queueing_delay(self) -> float:
-        if not self.completions:
-            return 0.0
-        return sum(c.queueing_delay for c in self.completions) / len(self.completions)
+        return self._totals.mean(self._totals.queueing)
 
     def max_queueing_delay(self) -> float:
-        return max((c.queueing_delay for c in self.completions), default=0.0)
+        return self._totals.queueing_max
 
     def mean_execution_time(self) -> float:
-        if not self.completions:
-            return 0.0
-        return sum(c.execution_time for c in self.completions) / len(self.completions)
+        return self._totals.mean(self._totals.execution)
 
     def record_shed(self, record: ShedRecord) -> None:
         self.shed.append(record)
@@ -430,9 +474,8 @@ class WorkloadMetrics:
     def shed_reason_counts(self, service_class: Optional[str] = None) -> dict:
         """reason -> shed count (sorted by reason; optionally per class).
 
-        The taxonomy view of :class:`ShedRecord.reason` — works
-        identically on :class:`StreamingWorkloadMetrics`, which retains
-        the full shed list.
+        The taxonomy view of :class:`ShedRecord.reason`; the shed list is
+        kept whether or not completions are retained.
         """
         counts: dict[str, int] = {}
         for record in self.shed:
@@ -449,9 +492,12 @@ class WorkloadMetrics:
     # name would be merged indistinguishably here, which is why
     # WorkloadSpec rejects duplicate class names at construction.
 
+    def _class(self, service_class: str) -> _Totals:
+        return self._class_totals.get(service_class) or _Totals()
+
     def class_names(self) -> list[str]:
         """Service classes seen in this run (completed or shed), sorted."""
-        names = {c.service_class for c in self.completions}
+        names = set(self._class_totals)
         names.update(s.service_class for s in self.shed)
         return sorted(names)
 
@@ -463,20 +509,11 @@ class WorkloadMetrics:
 
     def class_throughput(self, service_class: str) -> float:
         """Completed queries of the class per virtual second of makespan."""
-        if self.makespan <= 0:
-            return 0.0
-        return len(self.completions_of(service_class)) / self.makespan
+        count = self._class(service_class).count
+        return count / self.makespan if self.makespan > 0 else 0.0
 
     def class_latency_percentile(self, service_class: str, p: float) -> float:
-        return percentile(
-            [c.latency for c in self.completions_of(service_class)], p
-        )
-
-    def class_mean_queueing_delay(self, service_class: str) -> float:
-        completions = self.completions_of(service_class)
-        if not completions:
-            return 0.0
-        return sum(c.queueing_delay for c in completions) / len(completions)
+        return percentile(self._class(service_class).latencies, p)
 
     def class_resource_waits(self, service_class: str) -> dict:
         """Mean per-query queueing delay at each service resource.
@@ -487,18 +524,10 @@ class WorkloadMetrics:
         (``net``) — all after admission, so none of it overlaps the
         admission queueing delay.
         """
-        completions = self.completions_of(service_class)
-        if not completions:
-            return {"cpu": 0.0, "disk": 0.0, "net": 0.0}
-        n = len(completions)
-        return {
-            "cpu": sum(c.result.metrics.cpu_contention_time
-                       for c in completions) / n,
-            "disk": sum(c.result.metrics.disk_wait_time
-                        for c in completions) / n,
-            "net": sum(c.result.metrics.net_wait_time
-                       for c in completions) / n,
-        }
+        totals = self._class(service_class)
+        return {"cpu": totals.mean(totals.cpu),
+                "disk": totals.mean(totals.disk),
+                "net": totals.mean(totals.net)}
 
     def slo_attainment(self, service_class: str) -> float:
         """Fraction of the class's queries that met their latency SLO.
@@ -508,56 +537,51 @@ class WorkloadMetrics:
         so a class with no SLO reports the fraction of its queries that
         were served at all.
         """
-        completions = self.completions_of(service_class)
-        shed = self.shed_of(service_class)
-        total = len(completions) + len(shed)
-        if total == 0:
-            return 1.0
-        met = sum(1 for c in completions if c.slo_met is not False)
-        return met / total
+        totals = self._class(service_class)
+        total = totals.count + len(self.shed_of(service_class))
+        return totals.slo_met / total if total else 1.0
 
     def per_class_summary(self) -> dict:
         """class name -> plain-data digest (deterministic per seed)."""
-        return {
-            name: {
-                "completed": len(self.completions_of(name)),
+        digest = {}
+        for name in self.class_names():
+            totals = self._class(name)
+            digest[name] = {
+                "completed": totals.count,
                 "shed": len(self.shed_of(name)),
                 "shed_reasons": self.shed_reason_counts(name),
                 "throughput": self.class_throughput(name),
-                "p50_latency": self.class_latency_percentile(name, 50.0),
-                "p95_latency": self.class_latency_percentile(name, 95.0),
-                "mean_queueing_delay": self.class_mean_queueing_delay(name),
+                "p50_latency": percentile(totals.latencies, 50.0),
+                "p95_latency": percentile(totals.latencies, 95.0),
+                "mean_queueing_delay": totals.mean(totals.queueing),
                 "slo_attainment": self.slo_attainment(name),
                 "resource_waits": self.class_resource_waits(name),
             }
-            for name in self.class_names()
-        }
+        return digest
 
     # -- steal traffic -------------------------------------------------------
 
     def total_steal_bytes(self) -> int:
-        return sum(c.steal_bytes for c in self.completions)
+        return self._totals.steal_bytes
 
     def total_cross_steal_rounds(self) -> int:
         """Broker-initiated steal rounds summed over all completions."""
-        return sum(
-            c.result.metrics.cross_steal_rounds for c in self.completions
-        )
+        return self._totals.cross_steal_rounds
 
     def steal_bytes_per_query(self) -> dict[int, int]:
         """query_id -> load-balancing bytes shipped for that query."""
         return {c.query_id: c.steal_bytes for c in self.completions}
 
     def total_cpu_contention(self) -> float:
-        return sum(c.result.metrics.cpu_contention_time for c in self.completions)
+        return self._totals.cpu
 
     def total_disk_wait(self) -> float:
         """Disk queueing delay summed over all completions."""
-        return sum(c.result.metrics.disk_wait_time for c in self.completions)
+        return self._totals.disk
 
     def total_net_wait(self) -> float:
         """Network-link queueing delay summed over all completions."""
-        return sum(c.result.metrics.net_wait_time for c in self.completions)
+        return self._totals.net
 
     # -- placement digest -----------------------------------------------------
 
@@ -612,9 +636,8 @@ class WorkloadMetrics:
     def summary(self) -> dict:
         """A plain-data digest; ``repr(summary())`` is byte-stable per seed.
 
-        On an elastic run a ``"cluster"`` sub-digest is appended; static
-        runs omit the key entirely, keeping every pre-elastic baseline
-        byte-identical.
+        ``per_query`` appears only when completions are retained, and
+        ``cluster``/``placement`` only on runs that used them.
         """
         digest = {
             "completed": self.completed,
@@ -643,239 +666,15 @@ class WorkloadMetrics:
             "spill_bytes": self.spill_bytes,
             "retries": self.retries,
             "per_class": self.per_class_summary(),
-            "per_query": [
+        }
+        if self.retain:
+            digest["per_query"] = [
                 (c.query_id, c.plan_label, c.service_class, c.arrival_time,
                  c.start_time, c.completion_time, c.steal_bytes,
                  c.result.metrics.result_tuples,
                  c.result.metrics.activations_processed)
-                for c in sorted(self.completions, key=lambda c: c.query_id)
-            ],
-        }
-        cluster = self.cluster_summary()
-        if cluster is not None:
-            digest["cluster"] = cluster
-        placement = self.placement_summary()
-        if placement is not None:
-            digest["placement"] = placement
-        return digest
-
-
-class StreamingWorkloadMetrics(WorkloadMetrics):
-    """A :class:`WorkloadMetrics` that does not retain per-query results.
-
-    ``WorkloadMetrics`` keeps every :class:`QueryCompletion` — including
-    its full :class:`ExecutionResult` with ~40 counters and per-thread
-    breakdowns — which is what makes million-query replays run out of
-    memory long before they run out of time.  This subclass aggregates
-    each completion into scalar accumulators at :meth:`record` time and
-    drops the object, keeping only the per-query latency floats (needed
-    for exact percentiles: ~8 MB per million queries).
-
-    Every aggregate it reports is bit-identical to the retaining
-    parent's: the accumulators add in the same record order that
-    ``sum()`` over the completion list would, latencies feed the same
-    :func:`percentile`, and :meth:`summary` emits the same digest minus
-    the unbounded ``per_query`` list (pinned by
-    ``tests/test_sp_and_metrics.py``).  Accessors that need the retained
-    objects themselves (``completions_of``, ``steal_bytes_per_query``)
-    raise, loudly, instead of answering from an empty list.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._completed = 0
-        self._latencies: list[float] = []
-        self._queueing_sum = 0.0
-        self._queueing_max = 0.0
-        self._execution_sum = 0.0
-        self._steal_bytes = 0
-        self._cpu_contention = 0.0
-        self._disk_wait = 0.0
-        self._net_wait = 0.0
-        self._cross_steal_rounds = 0
-        #: class name -> [count, latencies, queueing_sum, slo_met,
-        #:               cpu_wait, disk_wait, net_wait]
-        self._per_class: dict[str, list] = {}
-
-    def record(self, completion: QueryCompletion) -> None:
-        if self._completed == 0:
-            self.first_arrival_time = completion.arrival_time
-        else:
-            self.first_arrival_time = min(self.first_arrival_time,
-                                          completion.arrival_time)
-        self.last_completion_time = max(self.last_completion_time,
-                                        completion.completion_time)
-        self._completed += 1
-        self._latencies.append(completion.latency)
-        self._queueing_sum += completion.queueing_delay
-        self._queueing_max = max(self._queueing_max,
-                                 completion.queueing_delay)
-        self._execution_sum += completion.execution_time
-        self._steal_bytes += completion.steal_bytes
-        metrics = completion.result.metrics
-        self._cpu_contention += metrics.cpu_contention_time
-        self._disk_wait += metrics.disk_wait_time
-        self._net_wait += metrics.net_wait_time
-        self._cross_steal_rounds += metrics.cross_steal_rounds
-        entry = self._per_class.get(completion.service_class)
-        if entry is None:
-            entry = [0, [], 0.0, 0, 0.0, 0.0, 0.0]
-            self._per_class[completion.service_class] = entry
-        entry[0] += 1
-        entry[1].append(completion.latency)
-        entry[2] += completion.queueing_delay
-        entry[3] += 1 if completion.slo_met is not False else 0
-        entry[4] += metrics.cpu_contention_time
-        entry[5] += metrics.disk_wait_time
-        entry[6] += metrics.net_wait_time
-
-    # -- aggregate accessors, re-answered from the accumulators -------------
-
-    @property
-    def completed(self) -> int:
-        return self._completed
-
-    def throughput(self) -> float:
-        if self.makespan <= 0:
-            return 0.0
-        return self._completed / self.makespan
-
-    def latencies(self) -> list[float]:
-        return list(self._latencies)
-
-    def latency_percentile(self, p: float) -> float:
-        return percentile(self._latencies, p)
-
-    def mean_latency(self) -> float:
-        if not self._latencies:
-            return 0.0
-        return sum(self._latencies) / len(self._latencies)
-
-    def mean_queueing_delay(self) -> float:
-        return self._queueing_sum / self._completed if self._completed else 0.0
-
-    def max_queueing_delay(self) -> float:
-        return self._queueing_max
-
-    def mean_execution_time(self) -> float:
-        return self._execution_sum / self._completed if self._completed else 0.0
-
-    def total_steal_bytes(self) -> int:
-        return self._steal_bytes
-
-    def total_cross_steal_rounds(self) -> int:
-        return self._cross_steal_rounds
-
-    def total_cpu_contention(self) -> float:
-        return self._cpu_contention
-
-    def total_disk_wait(self) -> float:
-        return self._disk_wait
-
-    def total_net_wait(self) -> float:
-        return self._net_wait
-
-    # -- per-class views -----------------------------------------------------
-
-    def class_names(self) -> list[str]:
-        names = set(self._per_class)
-        names.update(s.service_class for s in self.shed)
-        return sorted(names)
-
-    def completions_of(self, service_class: str):
-        raise NotImplementedError(
-            "StreamingWorkloadMetrics does not retain completions; use the "
-            "aggregate accessors or plain WorkloadMetrics"
-        )
-
-    def steal_bytes_per_query(self):
-        raise NotImplementedError(
-            "StreamingWorkloadMetrics does not retain completions; use the "
-            "aggregate accessors or plain WorkloadMetrics"
-        )
-
-    def class_throughput(self, service_class: str) -> float:
-        if self.makespan <= 0:
-            return 0.0
-        entry = self._per_class.get(service_class)
-        return (entry[0] if entry else 0) / self.makespan
-
-    def class_latency_percentile(self, service_class: str, p: float) -> float:
-        entry = self._per_class.get(service_class)
-        return percentile(entry[1] if entry else [], p)
-
-    def class_mean_queueing_delay(self, service_class: str) -> float:
-        entry = self._per_class.get(service_class)
-        if not entry or not entry[0]:
-            return 0.0
-        return entry[2] / entry[0]
-
-    def class_resource_waits(self, service_class: str) -> dict:
-        entry = self._per_class.get(service_class)
-        if not entry or not entry[0]:
-            return {"cpu": 0.0, "disk": 0.0, "net": 0.0}
-        n = entry[0]
-        return {"cpu": entry[4] / n, "disk": entry[5] / n,
-                "net": entry[6] / n}
-
-    def slo_attainment(self, service_class: str) -> float:
-        entry = self._per_class.get(service_class)
-        completed = entry[0] if entry else 0
-        met = entry[3] if entry else 0
-        total = completed + len(self.shed_of(service_class))
-        if total == 0:
-            return 1.0
-        return met / total
-
-    def per_class_summary(self) -> dict:
-        return {
-            name: {
-                "completed": (self._per_class[name][0]
-                              if name in self._per_class else 0),
-                "shed": len(self.shed_of(name)),
-                "shed_reasons": self.shed_reason_counts(name),
-                "throughput": self.class_throughput(name),
-                "p50_latency": self.class_latency_percentile(name, 50.0),
-                "p95_latency": self.class_latency_percentile(name, 95.0),
-                "mean_queueing_delay": self.class_mean_queueing_delay(name),
-                "slo_attainment": self.slo_attainment(name),
-                "resource_waits": self.class_resource_waits(name),
-            }
-            for name in self.class_names()
-        }
-
-    # -- deterministic digest ------------------------------------------------
-
-    def summary(self) -> dict:
-        """The parent's digest minus the unbounded ``per_query`` list."""
-        digest = {
-            "completed": self.completed,
-            "unfinished": self.unfinished,
-            "shed": [
-                (s.query_id, s.service_class, s.arrival_time, s.shed_time,
-                 s.reason)
-                for s in sorted(self.shed, key=lambda s: s.query_id)
-            ],
-            "shed_reasons": self.shed_reason_counts(),
-            "makespan": self.makespan,
-            "throughput": self.throughput(),
-            "p50_latency": self.p50_latency,
-            "p95_latency": self.p95_latency,
-            "p99_latency": self.p99_latency,
-            "mean_queueing_delay": self.mean_queueing_delay(),
-            "max_queueing_delay": self.max_queueing_delay(),
-            "mean_execution_time": self.mean_execution_time(),
-            "total_steal_bytes": self.total_steal_bytes(),
-            "total_cpu_contention": self.total_cpu_contention(),
-            "total_disk_wait": self.total_disk_wait(),
-            "total_net_wait": self.total_net_wait(),
-            "cross_steal_rounds": self.total_cross_steal_rounds(),
-            "broker_notifications": self.broker_notifications,
-            "memory_preemptions": self.memory_preemptions,
-            "spill_bytes": self.spill_bytes,
-            "retries": self.retries,
-            "per_class": self.per_class_summary(),
-        }
+                for c in sorted(self._completions, key=lambda c: c.query_id)
+            ]
         cluster = self.cluster_summary()
         if cluster is not None:
             digest["cluster"] = cluster

@@ -54,14 +54,13 @@ from ..serving import (AdmissionPolicy, ArrivalSpec, BATCH, INTERACTIVE,
                        WorkloadSpec)
 from ..sim.disk import DiskParams
 from ..sim.machine import MachineConfig
-from ..workloads.scenarios import io_heavy_chain_population
 from .config import ExperimentOptions, scaled_execution_params
 from .registry import register_experiment
 from .reporting import format_table
 
 __all__ = ["ServiceClassSweepResult", "run", "PAPER_EXPECTATION",
            "DISCIPLINES", "MPL_LEVELS", "IO_MPL_LEVELS", "NET_MPL",
-           "NET_BANDWIDTHS", "io_heavy_plans", "io_heavy_params"]
+           "NET_BANDWIDTHS", "io_heavy_params"]
 
 #: scheduling disciplines under comparison (CPU and disk sweeps alike).
 DISCIPLINES = ("fifo", "fair", "priority")
@@ -263,18 +262,6 @@ class ServiceClassSweepResult:
                            "(CPU and disks stay FIFO)"),
                 ))
         return "\n\n".join(blocks)
-
-
-def io_heavy_plans(nodes: int = 2, processors_per_node: int = 4,
-                   base_tuples: int = 2000):
-    """The disk-dominated plan population — see
-    :func:`repro.workloads.scenarios.io_heavy_chain_population` (kept
-    here as a shim for its original import path).  Returns
-    ``(plans, config)``."""
-    return io_heavy_chain_population(
-        nodes=nodes, processors_per_node=processors_per_node,
-        base_tuples=base_tuples,
-    )
 
 
 def io_heavy_params(options: ExperimentOptions, disk_discipline: str,

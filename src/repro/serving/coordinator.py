@@ -303,8 +303,7 @@ class MultiQueryCoordinator:
         #: highest number of simultaneously executing queries observed —
         #: the admission tests assert it never exceeds the policy cap.
         self.peak_running = 0
-        #: injectable sink: pass a
-        #: :class:`~repro.engine.metrics.StreamingWorkloadMetrics` for
+        #: injectable sink: pass ``WorkloadMetrics(retain=False)`` for
         #: replays too large to retain per-query results in memory.
         self.metrics = metrics if metrics is not None else WorkloadMetrics()
         self._arrivals_open = True

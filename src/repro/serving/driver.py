@@ -231,8 +231,8 @@ class WorkloadDriver:
         self.logger = logger or NOOP_LOGGER
         #: when set, replay this trace instead of generating arrivals.
         self.trace = trace
-        #: optional metrics sink forwarded to the coordinator (e.g. a
-        #: StreamingWorkloadMetrics for million-query replays).
+        #: optional metrics sink forwarded to the coordinator (e.g.
+        #: ``WorkloadMetrics(retain=False)`` for million-query replays).
         self.metrics = metrics
         #: elastic wiring (see :mod:`repro.cluster`): the ClusterSpec,
         #: the per-size plan bank (``{nodes: (plan, ...)}``) and the
